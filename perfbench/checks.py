@@ -9,16 +9,19 @@ of these checks fails:
   total is the sum of the slices so far, and it never exceeds the budget;
 * the centroids are bit-identical to the reference run's: for a
   ``vectorized-crypto`` spec the mock ``vectorized`` run of the same spec
-  and seed (the documented plane guarantee); otherwise the first completed
-  run of the same seed (each run is a fresh interpreter, so this checks
-  determinism across processes).
+  and seed with exact gossip sums (see :func:`exact_gossip_sums`);
+  otherwise the first completed run of the same seed (each run is a fresh
+  interpreter, so this checks determinism across processes).
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
-__all__ = ["check_run", "inertia", "lloyd_centroids", "reference_centroids"]
+__all__ = ["check_run", "exact_gossip_sums", "inertia", "lloyd_centroids",
+           "reference_centroids"]
 
 
 def inertia(values: np.ndarray, centroids: np.ndarray) -> float:
@@ -42,13 +45,62 @@ def lloyd_centroids(
     return centroids
 
 
+@contextlib.contextmanager
+def exact_gossip_sums():
+    """Carry the mock plane's EESum merges in exact integers while active.
+
+    ``VectorizedEESum`` keeps normalized float sums, which stay exact only
+    while their numerators fit a float64 mantissa (its docstring); past
+    about 2·n_e > 24 pairing cycles the halving of each merge rounds.  The
+    crypto plane's ciphertext sums never round, and it decodes them with
+    one correctly rounded division.  Here every row also keeps the exact
+    integers ``σ·2^E`` (Alg. 2's delayed division) and, after each merge,
+    its floats are set to the correctly rounded exact sums.  While no merge
+    rounds this changes nothing, so the twin is the plain mock run.
+    """
+    from repro.gossip.eesum import VectorizedEESum
+
+    original = VectorizedEESum.exchange_pairs
+
+    def exchange_pairs(self, left, right):
+        if "_exact_sums" not in self.__dict__:  # its first merge
+            ratios = [value.as_integer_ratio() for value in self.values.flat]
+            exponent = max(d.bit_length() - 1 for _, d in ratios)
+            numerators = np.array([n << (exponent - d.bit_length() + 1)
+                                   for n, d in ratios], dtype=object)
+            self._exact_sums = (numerators.reshape(self.values.shape),
+                                np.full(self.population, exponent, dtype=np.int64))
+        original(self, left, right)
+        numerators, exponents = self._exact_sums
+        merged_exponent = np.maximum(exponents[left], exponents[right]) + 1
+
+        def aligned(side):  # σ·2^(E'−1) of each row on this side
+            shift = (merged_exponent - 1 - exponents[side]).astype(object)
+            return numerators[side] << shift[:, None]
+
+        merged = aligned(left) + aligned(right)
+        numerators[left] = numerators[right] = merged
+        exponents[left] = exponents[right] = merged_exponent
+        scale = np.ones(len(left), dtype=object) << merged_exponent.astype(object)
+        # Python's int / int true division is correctly rounded.
+        floats = (merged / scale[:, None]).astype(float)
+        self.values[left] = self.values[right] = floats
+
+    VectorizedEESum.exchange_pairs = exchange_pairs
+    try:
+        yield
+    finally:
+        VectorizedEESum.exchange_pairs = original
+
+
 def reference_centroids(spec) -> list[np.ndarray] | None:
-    """Per-iteration centroids of the mock-plane twin of a crypto-plane spec."""
+    """Per-iteration centroids of the exact mock twin of a crypto-plane spec."""
     from repro.api import Experiment
 
     if spec.plane != "vectorized-crypto":
         return None
-    result = Experiment.from_spec(spec.with_plane("vectorized")).run()
+    with exact_gossip_sums():
+        result = Experiment.from_spec(spec.with_plane("vectorized")).run()
     return [np.asarray(stats.centroids) for stats in result.history]
 
 

@@ -143,6 +143,28 @@ def test_checks_flag_each_kind_of_failure():
     assert len(checks.check_run(spec, strategy, {"error": "boom"}, reference)) == 2
 
 
+@pytest.mark.parametrize("exchanges", [3, 15])
+def test_crypto_plane_matches_the_exact_mock_twin(exchanges):
+    """2·n_e = 30 cycles take the plain mock past float64 exactness; the
+    exact twin still matches the crypto plane bit for bit."""
+    from repro.api import Experiment, RunSpec
+
+    spec = tiny_spec("paper-exchange")
+    spec["params"].update(exchanges=exchanges, crypto_backend="serial")
+    spec = RunSpec.from_dict(spec)
+
+    def centroids(result):
+        return [np.asarray(stats.centroids) for stats in result.history]
+
+    crypto = centroids(Experiment.from_spec(spec).run())
+    plain = centroids(Experiment.from_spec(spec.with_plane("vectorized")).run())
+    exact = checks.reference_centroids(spec)
+    assert len(exact) == len(crypto) == 2
+    assert all(np.array_equal(a, b) for a, b in zip(crypto, exact))
+    plain_equal = all(np.array_equal(a, b) for a, b in zip(crypto, plain))
+    assert plain_equal == (exchanges == 3)
+
+
 def test_lloyd_reference_reaches_a_fixed_point():
     values = np.array([[0.0], [1.0], [10.0], [11.0]])
     final = checks.lloyd_centroids(values, np.array([[0.0], [11.0]]), 3)
