@@ -472,8 +472,8 @@ class VectorizedCryptoComputationStep:
         packed = self.packed
         width = packed.packed_length(dims) + 1  # payload stripes + tracker
         flat_plaintexts: list[int] = []
-        for node in range(population):
-            flat_plaintexts.extend(packed.pack(body[node]))
+        for stripes in packed.pack(body):  # every node's row in one pass
+            flat_plaintexts.extend(stripes)
             flat_plaintexts.append(1)  # tracker E(1): the coefficient total
         del body
         started = time.perf_counter()

@@ -165,6 +165,18 @@ class ChiaroscuroRun:
             if self.fault_plan is not None:
                 self.fault_plan.bind_run(self)
             return
+        # The iterations the budget can fund: the worst (smallest) slice
+        # sizes the packed slots' noise headroom, and their count sizes
+        # the fixed-base encryption table to the run's randomizer draws.
+        slices = []
+        for iteration in range(1, params.max_iterations + 1):
+            try:
+                slices.append(strategy.epsilon_for(iteration))
+            except BudgetExhausted:
+                break
+        min_epsilon = min(slices) if slices else params.epsilon
+        noise_bound = 60.0 * dataset.joint_sensitivity / min_epsilon
+        dims = len(self.initial_centroids) * (dataset.n + 1)
         if params.protocol_plane == "vectorized-crypto":
             # Real packed Damgård–Jurik ciphertexts over the struct-of-
             # arrays engine.  Key material is committee-sized, not
@@ -195,14 +207,6 @@ class ChiaroscuroRun:
             # clear on the fixed-point grid before the single packed
             # encryption, and C already *is* the whole coefficient total.
             cycles = 2 * params.exchanges
-            slices = []
-            for iteration in range(1, params.max_iterations + 1):
-                try:
-                    slices.append(strategy.epsilon_for(iteration))
-                except BudgetExhausted:
-                    break
-            min_epsilon = min(slices) if slices else params.epsilon
-            noise_bound = 60.0 * dataset.joint_sensitivity / min_epsilon
             self.packed = PackedCodec.plan(
                 keypair.public,
                 fractional_bits=self.fractional_bits,
@@ -215,8 +219,15 @@ class ChiaroscuroRun:
             self.codec = None
             self.plane = None
             self.participants = []
+            # One randomizer per payload stripe plus the tracker, per node
+            # and iteration.
+            per_node = self.packed.packed_length(dims) + 1
             with bigint.use_backend(self.bigint_backend):
-                self.encryptor = FastEncryptor(keypair.public, self.crypto_rng)
+                self.encryptor = FastEncryptor(
+                    keypair.public,
+                    self.crypto_rng,
+                    expected_uses=population * per_node * len(slices),
+                )
             self.backend = create_backend(
                 params.crypto_backend,
                 workers=params.backend_workers,
@@ -268,23 +279,8 @@ class ChiaroscuroRun:
         # scale with an exponential-tail quantile (P[|share| > 60λ] ~ e⁻⁶⁰
         # per element: never in practice), falling back to scalar when the
         # resulting slot no longer fits the plaintext.
-        with bigint.use_backend(self.bigint_backend):
-            self.encryptor = FastEncryptor(keypair.public, self.crypto_rng)
-        self.backend = create_backend(
-            params.crypto_backend,
-            workers=params.backend_workers,
-            encryptor=self.encryptor,
-        )
-        self.plane = ScalarPlane(keypair.public, self.codec, self.backend)
+        packed = None
         if params.use_packing:
-            slices = []
-            for iteration in range(1, params.max_iterations + 1):
-                try:
-                    slices.append(strategy.epsilon_for(iteration))
-                except BudgetExhausted:
-                    break
-            min_epsilon = min(slices) if slices else params.epsilon
-            noise_bound = 60.0 * dataset.joint_sensitivity / min_epsilon
             try:
                 packed = PackedCodec.plan(
                     keypair.public,
@@ -295,9 +291,29 @@ class ChiaroscuroRun:
                     exchanges=worst_exchanges,
                     terms=2,  # means + noise are the biased vectors summed
                 )
-                self.plane = PackedPlane(keypair.public, packed, self.backend)
             except ValueError:
                 pass  # no room for even one slot — stay on the scalar plane
+        # Per node and iteration: the means and the noise share, each
+        # packed_length ciphertexts, plus the packed plane's tracker.
+        if packed is not None:
+            per_node = 2 * packed.packed_length(dims) + PackedPlane.tracker_length
+        else:
+            per_node = 2 * dims
+        with bigint.use_backend(self.bigint_backend):
+            self.encryptor = FastEncryptor(
+                keypair.public,
+                self.crypto_rng,
+                expected_uses=population * per_node * len(slices),
+            )
+        self.backend = create_backend(
+            params.crypto_backend,
+            workers=params.backend_workers,
+            encryptor=self.encryptor,
+        )
+        if packed is not None:
+            self.plane = PackedPlane(keypair.public, packed, self.backend)
+        else:
+            self.plane = ScalarPlane(keypair.public, self.codec, self.backend)
 
         self.participants = [
             Participant(

@@ -13,14 +13,23 @@ touching protocol code:
 **Determinism.** Reproducibility across backends is a hard requirement
 (the protocol seeds everything).  Randomness is therefore *derived per
 item, not per worker*: the caller's ``rng`` emits one 128-bit seed per
-plaintext **before** dispatch, and each encryption builds its own
-``random.Random(seed)`` from that seed.  Worker count, chunking, and
-scheduling order then cannot change any ciphertext — the serial and
-process-pool backends produce bit-identical batches from the same master
-RNG state.  Partial decryption is deterministic to begin with.
-(Note the seed derivation caps each randomizer's entropy at 128 bits —
-below the raw randomizer space but in line with the short-exponent
-security model :class:`FastEncryptor` already assumes.)
+plaintext **before** dispatch, and each ciphertext is a function of its
+plaintext and its seed alone.  With a table-backed
+:class:`FastEncryptor` (every protocol plane uses one) the seed becomes
+the randomizer exponent through a hash
+(:func:`repro.crypto.damgard_jurik.seed_exponent`), and a whole batch —
+or a worker's whole chunk — is evaluated by one
+:meth:`FastEncryptor.encrypt_seeded` call, windows outer and items
+inner; the encryptor's table window is sized to the run's expected
+number of randomizers (see :class:`FastEncryptor`).  Without an
+encryptor, each encryption draws its randomizer from its own
+``random.Random(seed)``.  Worker count, chunking, and scheduling order
+then cannot change any ciphertext — the serial and process-pool backends
+produce bit-identical batches from the same master RNG state.  Partial
+decryption is deterministic to begin with.  (Note the seed derivation
+caps each randomizer's entropy at 128 bits — below the raw randomizer
+space but in line with the short-exponent security model
+:class:`FastEncryptor` already assumes.)
 
 Backends are selected by name through :func:`create_backend`, which is the
 hook :class:`repro.core.ChiaroscuroParams` plugs into (``crypto_backend``
@@ -34,7 +43,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 
 from . import bigint
-from .damgard_jurik import FastEncryptor, encrypt
+from .damgard_jurik import FastEncryptor, derive_item_seeds, encrypt
 from .keys import KeyShare, PublicKey, ThresholdContext
 
 __all__ = [
@@ -45,25 +54,20 @@ __all__ = [
     "derive_item_seeds",
 ]
 
-_SEED_BITS = 128
 
-
-def derive_item_seeds(rng: random.Random, count: int) -> list[int]:
-    """One 128-bit seed per batch item, drawn from the master RNG in order."""
-    return [rng.getrandbits(_SEED_BITS) for _ in range(count)]
-
-
-def _encrypt_item(
+def _encrypt_items(
     public: PublicKey,
     encryptor: FastEncryptor | None,
-    plaintext: int,
-    seed: int,
-) -> int:
-    """Encrypt one item from its derived seed (shared by all backends)."""
-    item_rng = random.Random(seed)
+    plaintexts: list[int],
+    seeds: list[int],
+) -> list[int]:
+    """Encrypt items from their derived seeds (shared by all backends)."""
     if encryptor is not None:
-        return encryptor.encrypt(plaintext, item_rng)
-    return encrypt(public, plaintext, rng=item_rng)
+        return encryptor.encrypt_seeded(plaintexts, seeds)
+    return [
+        encrypt(public, m, rng=random.Random(seed))
+        for m, seed in zip(plaintexts, seeds)
+    ]
 
 
 def _partial_decrypt_exponent(context: ThresholdContext, share: KeyShare) -> int:
@@ -95,10 +99,9 @@ def _init_worker(encryptor: FastEncryptor | None, bigint_backend: str) -> None:
 
 
 def _encrypt_chunk(public: PublicKey, items: list[tuple[int, int]]) -> list[int]:
-    return [
-        _encrypt_item(public, _WORKER_ENCRYPTOR, plaintext, seed)
-        for plaintext, seed in items
-    ]
+    plaintexts = [plaintext for plaintext, _ in items]
+    seeds = [seed for _, seed in items]
+    return _encrypt_items(public, _WORKER_ENCRYPTOR, plaintexts, seeds)
 
 
 def _pow_chunk(exponent: int, modulus: int, chunk: list[int]) -> list[int]:
@@ -158,10 +161,7 @@ class SerialBackend(CryptoBackend):
         self, public: PublicKey, plaintexts: list[int], rng: random.Random
     ) -> list[int]:
         seeds = derive_item_seeds(rng, len(plaintexts))
-        return [
-            _encrypt_item(public, self.encryptor, m, seed)
-            for m, seed in zip(plaintexts, seeds)
-        ]
+        return _encrypt_items(public, self.encryptor, plaintexts, seeds)
 
     def partial_decrypt_batch(
         self, context: ThresholdContext, share: KeyShare, ciphertexts: list[int]

@@ -15,13 +15,14 @@ Threshold decryption lives in :mod:`repro.crypto.threshold`.
 
 Cost profile (what the batched plane exploits):
 
-* ``g^a`` with ``g = 1 + n`` is a binomial expansion — ``s`` multiplications,
-  *not* a modexp, so it needs no precomputation table;
+* ``g^a`` with ``g = 1 + n`` is a binomial expansion — ``s`` multiplications
+  by key-only constants, *not* a modexp (``1 + a·n`` for ``s = 1``), so it
+  needs no precomputation table;
 * the randomizer ``r^{n^s} mod n^{s+1}`` is the one genuine modexp per
   encryption and dominates the Fig. 5(a) "Encrypt" bar.
   :class:`FastEncryptor` amortizes it with a fixed-base window table over a
   run-fixed base ``h = r₀^{n^s}`` (an encryption of zero): each fresh
-  randomizer is ``h^t`` for a short random exponent ``t``, costing
+  randomizer is ``h^t`` for a short exponent ``t``, costing
   ``ceil(bits(t)/w)`` multiplications instead of a ``bits(n^s)``-bit
   square-and-multiply.  This is the classic Damgård–Jurik–Nielsen
   precomputation trade: semantic security then additionally rests on the
@@ -32,6 +33,8 @@ Cost profile (what the batched plane exploits):
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import math
 import random
 
@@ -45,10 +48,14 @@ from .numtheory import (
     lcm,
     modinv,
     random_safe_prime,
+    table_window_bits,
 )
 
 __all__ = [
     "FastEncryptor",
+    "SEED_BITS",
+    "derive_item_seeds",
+    "seed_exponent",
     "generate_keypair",
     "encrypt",
     "encrypt_batch",
@@ -96,22 +103,36 @@ def generate_keypair(
     return PrivateKey(public=public, p=p, q=q, d=d)
 
 
+@functools.lru_cache(maxsize=8)
+def _binomial_factors(n: int, s: int) -> tuple[int, ...]:
+    """``n^i / i! mod n^{s+1}`` for ``i = 1..s``: the key-only part of the
+    binomial terms of ``(1+n)^a``."""
+    n_s1 = n ** (s + 1)
+    factors = []
+    inverse_factorial = 1
+    for i in range(1, s + 1):
+        inverse_factorial = inverse_factorial * modinv(i, n_s1) % n_s1
+        factors.append(inverse_factorial * n**i % n_s1)
+    return tuple(factors)
+
+
 def powers_of_g(public: PublicKey, a: int) -> int:
     """Compute ``(1+n)^a mod n^{s+1}`` via binomial expansion.
 
     ``(1+n)^a = Σ_{i=0}^{s} C(a, i)·n^i (mod n^{s+1})`` — only ``s + 1``
     terms survive, making this dramatically cheaper than a modexp and the
     dominant reason Paillier-family encryption is practical on a device.
+    Term ``i`` is the falling factorial ``a(a−1)…(a−i+1)`` times the cached
+    key constant ``n^i / i!``, so ``s = 1`` costs one product: ``1 + a·n``.
     """
     n_s1 = public.n_s1
     a %= public.n_s
     result = 1
-    binomial = 1  # C(a, i) mod n^{s+1}, built incrementally
-    for i in range(1, public.s + 1):
-        binomial = binomial * ((a - i + 1) % n_s1) % n_s1
-        binomial = binomial * modinv(i, n_s1) % n_s1
-        result = (result + binomial * bigint.powmod(public.n, i, n_s1)) % n_s1
-    return result
+    falling = 1  # a(a-1)…(a-i+1) mod n^{s+1}
+    for i, factor in enumerate(_binomial_factors(public.n, public.s), start=1):
+        falling = falling * (a - i + 1) % n_s1
+        result += falling * factor
+    return result % n_s1
 
 
 def encrypt(
@@ -153,19 +174,54 @@ def encrypt_zero_pool(public: PublicKey, count: int, rng: random.Random) -> list
     return pool
 
 
+#: Bits of the per-item seed the master RNG draws for each encryption.
+SEED_BITS = 128
+
+
+def derive_item_seeds(rng: random.Random, count: int) -> list[int]:
+    """One 128-bit seed per batch item, drawn from the master RNG in order."""
+    return [rng.getrandbits(SEED_BITS) for _ in range(count)]
+
+
+def seed_exponent(seed: int, exponent_bits: int) -> int:
+    """The odd randomizer exponent of one item: ``blake2b(seed)`` masked to
+    ``exponent_bits`` bits, with the low bit set.
+
+    The seed is hashed as 16 little-endian bytes into a 32-byte digest, so
+    ``exponent_bits`` is at most 256.
+    """
+    digest = hashlib.blake2b(
+        seed.to_bytes(SEED_BITS // 8, "little"), digest_size=32
+    ).digest()
+    return int.from_bytes(digest, "little") & ((1 << exponent_bits) - 1) | 1
+
+
 class FastEncryptor:
     """Amortized encryption: fixed-base randomizer powers over ``h = r₀^{n^s}``.
 
     The base ``h`` is itself a fresh encryption of zero drawn from ``rng`` at
-    construction time; every randomizer afterwards is ``h^t`` with ``t`` a
-    fresh ``exponent_bits``-bit exponent, evaluated through a precomputed
-    :class:`FixedBaseTable` (see the module docstring for the cost model and
-    the security trade).  One instance is meant to live for a whole protocol
-    run and be shared by every local encryption of that run.
+    construction time; every randomizer afterwards is ``h^t``, evaluated
+    through a precomputed :class:`FixedBaseTable` (see the module docstring
+    for the cost model and the security trade).  One instance is meant to
+    live for a whole protocol run and be shared by every local encryption
+    of that run.
+
+    **Exponents from seeds.**  Each item comes with a 128-bit seed (see
+    :func:`derive_item_seeds`); its exponent is :func:`seed_exponent` of
+    that seed — a hash, not a ``random.Random`` per item — so the same
+    seeds give the same ciphertexts wherever they are evaluated.
+    :meth:`encrypt_seeded` is the one evaluation path: the whole batch goes
+    through one :meth:`FixedBaseTable.pow_batch` pass.
+
+    **Window.**  An explicit ``window_bits`` is used as given.  Otherwise
+    :func:`repro.crypto.numtheory.table_window_bits` picks it from
+    ``expected_uses`` (the randomizers the run will draw): the window that
+    minimises table build plus evaluation multiplications, within a 2 MiB
+    cap on the table's operand bytes.  ``expected_uses = 0`` gives the
+    smallest table, ``w = 6``.
 
     The object is picklable (it is shipped once to each worker of the
-    process-pool backend), and :meth:`randomizer` is deterministic given the
-    caller's ``rng`` state — reproducibility across backends relies on that.
+    process-pool backend).
     """
 
     def __init__(
@@ -173,10 +229,11 @@ class FastEncryptor:
         public: PublicKey,
         rng: random.Random,
         exponent_bits: int = 256,
-        window_bits: int = 6,
+        window_bits: int | None = None,
+        expected_uses: int = 0,
     ) -> None:
-        if exponent_bits < 64:
-            raise ValueError("exponent_bits must be >= 64")
+        if not 64 <= exponent_bits <= 256:
+            raise ValueError("exponent_bits must be in [64, 256]")
         self.public = public
         self.exponent_bits = exponent_bits
         while True:
@@ -184,6 +241,10 @@ class FastEncryptor:
             if gcd(r0, public.n) == 1:
                 break
         h = bigint.powmod(r0, public.n_s, public.n_s1)
+        if window_bits is None:
+            window_bits = table_window_bits(
+                exponent_bits, public.n_s1, expected_uses
+            )
         self.table = FixedBaseTable(h, public.n_s1, exponent_bits, window_bits)
 
     def warm(self) -> "FastEncryptor":
@@ -196,17 +257,31 @@ class FastEncryptor:
         self.table.warm()
         return self
 
-    def randomizer(self, rng: random.Random) -> int:
-        """A fresh randomizer ``h^t mod n^{s+1}`` (an encryption of zero)."""
-        return self.table.pow(rng.getrandbits(self.exponent_bits) | 1)
-
-    def encrypt(self, plaintext: int, rng: random.Random) -> int:
-        """Encrypt one plaintext with an amortized randomizer."""
-        return encrypt(self.public, plaintext, randomizer=self.randomizer(rng))
+    def encrypt_seeded(self, plaintexts, seeds) -> list[int]:
+        """Encrypt ``plaintexts[i]`` with the randomizer of ``seeds[i]``."""
+        exponents = [seed_exponent(seed, self.exponent_bits) for seed in seeds]
+        randomizers = self.table.pow_batch(exponents)
+        public = self.public
+        n, n_s1 = public.n, public.n_s1
+        if public.s == 1:
+            # (1 + a·n)·r ≡ r + n·(a·r mod n)  (mod n²): no full-width product.
+            return [
+                (r + n * (m * r % n)) % n_s1 for m, r in zip(plaintexts, randomizers)
+            ]
+        return [
+            powers_of_g(public, m) * r % n_s1
+            for m, r in zip(plaintexts, randomizers)
+        ]
 
     def encrypt_batch(self, plaintexts: list[int], rng: random.Random) -> list[int]:
-        """Encrypt a batch, drawing randomizer exponents from ``rng`` in order."""
-        return [self.encrypt(m, rng) for m in plaintexts]
+        """Encrypt a batch, drawing one item seed per plaintext from ``rng``."""
+        return self.encrypt_seeded(
+            plaintexts, derive_item_seeds(rng, len(plaintexts))
+        )
+
+    def encrypt(self, plaintext: int, rng: random.Random) -> int:
+        """Encrypt one plaintext (one item seed drawn from ``rng``)."""
+        return self.encrypt_batch([plaintext], rng)[0]
 
 
 def encrypt_batch(
@@ -217,11 +292,10 @@ def encrypt_batch(
 ) -> list[int]:
     """Encrypt a batch of plaintexts, through ``encryptor`` when given.
 
-    Convenience entry point drawing randomness directly from ``rng``.  The
-    backends in :mod:`repro.crypto.backend` use a different randomness
-    discipline (one derived seed per item, which is what makes them
-    bit-identical *to each other* across worker counts) — their output is
-    therefore **not** comparable to this function's for the same ``rng``.
+    With an encryptor, ``rng`` emits one item seed per plaintext, exactly
+    as the backends in :mod:`repro.crypto.backend` draw them, so the
+    ciphertexts match a table-backed backend's for the same ``rng`` state.
+    Without one, each plaintext draws its randomizer directly from ``rng``.
     """
     if encryptor is not None:
         rng = rng or random.Random()  # repro-lint: allow=determinism-rng -- entropy fallback for ad-hoc use; protocol paths inject a seeded rng

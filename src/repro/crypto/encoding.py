@@ -224,39 +224,96 @@ class PackedCodec:
             raise ValueError("count must be >= 0")
         return -(-count // self.slots)
 
-    def encode_fixed(self, value: float) -> int:
-        """Signed fixed-point integer for one value (range-checked)."""
-        fixed = round(value * self.scale)
-        if abs(fixed) >= self.bias:
+    def pack(self, values):
+        """Pack reals into plaintext residues, ``slots`` values apiece.
+
+        A vector gives its list of plaintexts: the one-row case of
+        :meth:`pack_rows`.  A ``rows × count`` matrix gives one list per
+        row, from a single :meth:`pack_rows` pass — the form the
+        vectorized-crypto plane stages a whole population with.
+        """
+        values = np.asarray(values, dtype=float)
+        if values.ndim == 2:
+            return self.pack_rows(values)
+        return self.pack_rows(values.reshape(1, -1))[0]
+
+    def pack_rows(self, matrix) -> list[list[int]]:
+        """Pack each row of a ``rows × count`` matrix of reals.
+
+        Row ``r`` becomes ``packed_length(count)`` plaintexts; the last one
+        is padded with implicit zero-value slots (they still carry the
+        bias, which :meth:`unpack` never reads back).  Rounding, the range
+        gate, the bias and the slot combination run over blocks of rows at
+        once (at most ``_BLOCK_SLOTS`` slots per block, which bounds the
+        temporary arrays): on 64-bit limbs when a biased slot value fits
+        one limb (``value_bits ≤ 62``), on Python integers otherwise.
+        Raises ``ValueError`` naming the first value (in row-major order)
+        with ``|round(v · 2^fractional_bits)| ≥ 2^value_bits``, or that is
+        NaN.
+        """
+        values = np.asarray(matrix, dtype=float)
+        if values.ndim != 2:
+            raise ValueError(f"pack_rows needs a 2-D matrix, got {values.ndim}-D")
+        rows, count = values.shape
+        stripes = self.packed_length(count)
+        block = max(1, self._BLOCK_SLOTS // max(1, stripes * self.slots))
+        packed: list[int] = []
+        for first in range(0, rows, block):
+            packed.extend(self._pack_block(values[first : first + block], stripes))
+        return [packed[r * stripes : (r + 1) * stripes] for r in range(rows)]
+
+    #: Slots packed per numpy pass of :meth:`pack_rows` (8 MiB per array).
+    _BLOCK_SLOTS = 1 << 20
+
+    def _pack_block(self, values: np.ndarray, stripes: int) -> list[int]:
+        """The plaintexts of every row of ``values``, row after row."""
+        rows, count = values.shape
+        fixed = np.round(values * float(self.scale))
+        limit = float(self.bias) if self.value_bits < 1024 else np.inf
+        inside = np.abs(fixed) < limit  # False for NaN as well
+        if not inside.all():
+            value = float(values.flat[int(np.argmin(inside))])
             raise ValueError(
                 f"value {value} exceeds the slot capacity 2^{self.value_bits}"
             )
-        return fixed
-
-    def pack(self, values) -> list[int]:
-        """Pack reals into plaintext residues, ``slots`` values apiece.
-
-        The last plaintext is padded with implicit zero-value slots (they
-        still carry the bias, which :meth:`unpack` never reads back).
-        """
-        packed: list[int] = []
-        slot_bits = self.slot_bits
-        bias = self.bias
-        current = 0
-        filled = 0
-        for value in values:
-            current |= (self.encode_fixed(float(value)) + bias) << (filled * slot_bits)
-            filled += 1
-            if filled == self.slots:
-                packed.append(current)
-                current = 0
-                filled = 0
-        if filled:
-            while filled < self.slots:
-                current |= bias << (filled * slot_bits)
-                filled += 1
-            packed.append(current)
+        slots = self.slots
+        padded = np.zeros((rows, stripes * slots))
+        padded[:, :count] = fixed
+        padded = padded.reshape(rows * stripes, slots)
+        if self.value_bits <= 62:
+            return self._combine_limbs(
+                (padded.astype(np.int64) + self.bias).view(np.uint64)
+            )
+        biased = np.array(
+            [int(f) + self.bias for f in padded.ravel()], dtype=object
+        ).reshape(padded.shape)
+        packed = [0] * (rows * stripes)
+        for i in range(slots):
+            shift = i * self.slot_bits
+            packed = [p | v << shift for p, v in zip(packed, biased[:, i])]
         return packed
+
+    def _combine_limbs(self, slot_values: np.ndarray) -> list[int]:
+        """Plaintexts from a ``plaintexts × slots`` array of biased slot
+        values below ``2^63``: each slot is OR-ed into the little-endian
+        64-bit limbs it spans (at most two), then every row of limbs is
+        read back as one integer."""
+        slot_bits = self.slot_bits
+        plaintexts, slots = slot_values.shape
+        n_limbs = -(-slots * slot_bits // 64)
+        limbs = np.zeros((plaintexts, n_limbs), dtype="<u8")
+        for i in range(slots):
+            limb, shift = divmod(i * slot_bits, 64)
+            column = slot_values[:, i]
+            limbs[:, limb] |= column << np.uint64(shift)
+            if shift and limb + 1 < n_limbs:
+                limbs[:, limb + 1] |= column >> np.uint64(64 - shift)
+        raw = limbs.tobytes()
+        width = 8 * n_limbs
+        return [
+            int.from_bytes(raw[offset : offset + width], "little")
+            for offset in range(0, len(raw), width)
+        ]
 
     def unpack_integers(
         self, plaintexts: list[int], count: int, bias_multiplier: int = 1

@@ -27,6 +27,9 @@ from . import bigint
 
 __all__ = [
     "FixedBaseTable",
+    "TABLE_BYTES_CAP",
+    "table_entries",
+    "table_window_bits",
     "is_probable_prime",
     "random_prime",
     "random_safe_prime",
@@ -37,6 +40,50 @@ __all__ = [
 ]
 
 
+#: Window range :func:`table_window_bits` chooses from (the lower end is
+#: also the default of a table built without a sized window); 16 bits is
+#: the largest window a table accepts.
+MIN_AUTO_WINDOW_BITS = 6
+MAX_WINDOW_BITS = 16
+#: Cap on a table's raw operand bytes (entries × bytes of the modulus).  It
+#: bounds the resident table and what the process-pool backend ships to
+#: every worker.
+TABLE_BYTES_CAP = 2 << 20
+
+
+def table_entries(max_exponent_bits: int, window_bits: int) -> int:
+    """Entries of a :class:`FixedBaseTable`: ``(2^w − 1)`` per window."""
+    windows = -(-max_exponent_bits // window_bits)
+    return windows * ((1 << window_bits) - 1)
+
+
+def table_window_bits(
+    max_exponent_bits: int, modulus: int, expected_uses: int
+) -> int:
+    """The window minimising table build plus ``expected_uses`` evaluations.
+
+    Building costs one multiplication per entry and each evaluation one per
+    window, so the rule minimises ``entries + expected_uses · windows`` over
+    ``w ∈ [6, 16]`` (ties go to the smaller table), among the windows whose
+    raw operand bytes ``entries · bytes(modulus)`` fit
+    :data:`TABLE_BYTES_CAP`.  The choice never shrinks as ``expected_uses``
+    grows.  When not even ``w = 6`` fits the cap (moduli past ~4000 bits),
+    ``w = 6`` is used anyway.
+    """
+    if expected_uses < 0:
+        raise ValueError("expected_uses must be >= 0")
+    operand_bytes = (modulus.bit_length() + 7) // 8
+    best_cost, best = None, MIN_AUTO_WINDOW_BITS
+    for window in range(MIN_AUTO_WINDOW_BITS, MAX_WINDOW_BITS + 1):
+        entries = table_entries(max_exponent_bits, window)
+        if entries * operand_bytes > TABLE_BYTES_CAP:
+            break  # entries only grow with the window
+        cost = entries + expected_uses * -(-max_exponent_bits // window)
+        if best_cost is None or cost < best_cost:
+            best_cost, best = cost, window
+    return best
+
+
 class FixedBaseTable:
     """Windowed fixed-base exponentiation: ``base^e mod modulus`` in
     ``ceil(max_exponent_bits / window_bits)`` multiplications.
@@ -44,14 +91,15 @@ class FixedBaseTable:
     The exponent is read in radix ``2^window_bits`` digits; for window ``i``
     and digit ``j`` the table stores ``base^(j · 2^(i·w))``, so an
     exponentiation is a product of one table entry per non-zero digit —
-    no squarings at all.  Precomputing the table costs roughly
-    ``windows · 2^w`` multiplications, which amortizes after a few dozen
-    exponentiations (a protocol run performs thousands: one randomizer per
-    ciphertext per iteration).
+    no squarings at all.  Precomputing the table costs one multiplication
+    per entry, ``windows · (2^w − 1)`` in all; :func:`table_window_bits`
+    sizes ``w`` against the number of exponentiations a run will do.
 
-    ``pow`` raises ``ValueError`` for exponents outside
-    ``[0, 2^max_exponent_bits)`` — callers size the table for their
-    exponent distribution up front.
+    :meth:`pow_batch` evaluates a whole batch window by window (windows in
+    the outer loop, items in the inner one), so the rows are fetched once
+    per batch; :meth:`pow` is its one-item case.  Both raise
+    ``ValueError`` for exponents outside ``[0, 2^max_exponent_bits)`` —
+    callers size the table for their exponent distribution up front.
     """
 
     __slots__ = (
@@ -74,14 +122,14 @@ class FixedBaseTable:
         base: int,
         modulus: int,
         max_exponent_bits: int,
-        window_bits: int = 6,
+        window_bits: int = MIN_AUTO_WINDOW_BITS,
     ) -> None:
         if modulus < 2:
             raise ValueError("modulus must be >= 2")
         if max_exponent_bits < 1:
             raise ValueError("max_exponent_bits must be >= 1")
-        if not 1 <= window_bits <= 16:
-            raise ValueError("window_bits must be in [1, 16]")
+        if not 1 <= window_bits <= MAX_WINDOW_BITS:
+            raise ValueError(f"window_bits must be in [1, {MAX_WINDOW_BITS}]")
         self.base = base % modulus
         self.modulus = modulus
         self.window_bits = window_bits
@@ -90,8 +138,10 @@ class FixedBaseTable:
         digits = (1 << window_bits) - 1  # non-zero digits per window
         # Build on the active bigint backend's native representation and
         # keep both forms: plain ints for pickling/serialization, native
-        # values as the evaluation cache.
+        # values as the evaluation cache.  A native row is indexed by the
+        # digit itself: entry 0 is 1.
         mod_native = bigint.to_native(modulus)
+        one = bigint.to_native(1)
         rows: list[list[int]] = []
         native_rows: list[list] = []
         b = bigint.to_native(self.base)  # base^(2^(i·w)) for window i
@@ -101,7 +151,7 @@ class FixedBaseTable:
             for _ in range(digits - 1):
                 acc = acc * b % mod_native
                 row.append(acc)
-            native_rows.append(row)
+            native_rows.append([one, *row])
             rows.append([int(v) for v in row])
             # base^(2^((i+1)·w)) = (b^(2^w - 1)) · b = row[-1] · b
             b = row[-1] * b % mod_native
@@ -119,7 +169,7 @@ class FixedBaseTable:
         if self._native is None or self._native[0] != backend:
             self._native = (
                 backend,
-                [[bigint.to_native(v) for v in row] for row in self._rows],
+                [[bigint.to_native(v) for v in (1, *row)] for row in self._rows],
                 bigint.to_native(self.modulus),
             )
             FixedBaseTable.native_builds += 1
@@ -153,21 +203,35 @@ class FixedBaseTable:
 
     def pow(self, exponent: int) -> int:
         """Return ``base^exponent mod modulus`` using the precomputed rows."""
-        if exponent < 0 or exponent.bit_length() > self.max_exponent_bits:
-            raise ValueError(
-                f"exponent must be in [0, 2^{self.max_exponent_bits})"
-            )
+        return self.pow_batch([exponent])[0]
+
+    def pow_batch(self, exponents) -> list[int]:
+        """``[base^e mod modulus for e in exponents]``, one window at a time.
+
+        Each window's digits are taken for the whole batch, then every item
+        takes one multiplication by its digit's entry of that window's row
+        (the first window's entry is taken as is).
+        """
+        exponents = list(exponents)
+        for exponent in exponents:
+            if exponent < 0 or exponent.bit_length() > self.max_exponent_bits:
+                raise ValueError(
+                    f"exponent must be in [0, 2^{self.max_exponent_bits})"
+                )
         rows, modulus = self._native_rows()
-        mask = (1 << self.window_bits) - 1
-        result = 1
-        window = 0
-        while exponent:
-            digit = exponent & mask
-            if digit:
-                result = result * rows[window][digit - 1] % modulus
-            exponent >>= self.window_bits
-            window += 1
-        return int(result % modulus)
+        width = self.window_bits
+        mask = (1 << width) - 1
+        first = rows[0]
+        results = [first[e & mask] for e in exponents]
+        for window in range(1, len(rows)):
+            row = rows[window]
+            shift = window * width
+            results = [
+                r * row[e >> shift & mask] % modulus
+                for r, e in zip(results, exponents)
+            ]
+        return [int(r) for r in results]
+
 
 _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,

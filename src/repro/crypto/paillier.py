@@ -73,7 +73,7 @@ def fast_encryptor(
     public: PublicKey,
     rng: random.Random,
     exponent_bits: int = 256,
-    window_bits: int = 6,
+    window_bits: int | None = None,
 ) -> "_dj.FastEncryptor":
     """Build a fixed-base-table encryptor for the ``s = 1`` scheme."""
     if public.s != 1:

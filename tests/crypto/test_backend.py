@@ -90,6 +90,30 @@ class TestProcessPoolBackend:
         finally:
             pool.close()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_table_ciphertexts_independent_of_worker_count(
+        self, threshold_keypair, plaintexts, workers
+    ):
+        """The batched table path: serial, 1-worker and 2-worker pools and
+        the encryptor's own batch call all give the same ciphertexts for
+        the same master RNG state, and they decrypt."""
+        public = threshold_keypair.public
+        encryptor = FastEncryptor(public, random.Random(31), expected_uses=10**5)
+        assert encryptor.table.window_bits == 10
+        serial = SerialBackend(encryptor).encrypt_batch(
+            public, plaintexts, random.Random(32)
+        )
+        pool = ProcessPoolBackend(
+            max_workers=workers, encryptor=encryptor, min_batch=1
+        )
+        try:
+            pooled = pool.encrypt_batch(public, plaintexts, random.Random(32))
+        finally:
+            pool.close()
+        assert pooled == serial
+        assert encryptor.encrypt_batch(plaintexts, random.Random(32)) == serial
+        assert [decrypt(threshold_keypair.private, c) for c in serial] == plaintexts
+
     def test_partial_decrypt_identical_to_serial(self, threshold_keypair, plaintexts):
         serial = SerialBackend()
         pool = ProcessPoolBackend(max_workers=2, min_batch=1)

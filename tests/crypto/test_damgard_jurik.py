@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import (
+    FastEncryptor,
+    PublicKey,
     decrypt,
     dlog_1_plus_n,
     encrypt,
@@ -16,6 +18,7 @@ from repro.crypto import (
     homomorphic_scalar_mul,
     powers_of_g,
 )
+from repro.crypto.damgard_jurik import seed_exponent
 
 
 class TestRoundTrip:
@@ -118,6 +121,12 @@ class TestInternals:
         for a in (0, 1, 17, 2**150, pub.n_s - 2):
             assert dlog_1_plus_n(pub, powers_of_g(pub, a)) == a
 
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_powers_of_g_matches_pow_any_s(self, keypair128, s):
+        pub = PublicKey(n=keypair128.public.n, s=s)
+        for a in (0, 1, 2, 3, s, 2**100 + 1, pub.n_s - 1, -5):
+            assert powers_of_g(pub, a) == pow(pub.g, a % pub.n_s, pub.n_s1)
+
     def test_zero_pool(self, keypair128, crypto_rng):
         pub = keypair128.public
         pool = encrypt_zero_pool(pub, 3, crypto_rng)
@@ -193,3 +202,45 @@ class TestCRTSplitDecryption:
         for value in (0, 1, 2**512 + 99):
             c = encrypt(keypair.public, value, rng=crypto_rng)
             assert decrypt(keypair, c) == _decrypt_reference(keypair, c) == value
+
+
+class TestFastEncryptor:
+    def test_explicit_window_overrides_the_rule(self, keypair128):
+        pub = keypair128.public
+        rule = FastEncryptor(pub, random.Random(1), expected_uses=10**6)
+        pinned = FastEncryptor(
+            pub, random.Random(1), window_bits=7, expected_uses=10**6
+        )
+        assert rule.table.window_bits == 10
+        assert pinned.table.window_bits == 7
+        assert FastEncryptor(pub, random.Random(1)).table.window_bits == 6
+        # The window changes the table, never the ciphertexts.
+        plaintexts = [0, 1, 2**200, pub.n_s - 1]
+        assert rule.encrypt_batch(plaintexts, random.Random(2)) == (
+            pinned.encrypt_batch(plaintexts, random.Random(2))
+        )
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_round_trip(self, keypair128, keypair_s2, s):
+        private = keypair128 if s == 1 else keypair_s2
+        pub = private.public
+        encryptor = FastEncryptor(pub, random.Random(3), expected_uses=100)
+        plaintexts = [0, 1, 12345, pub.n_s - 1]
+        ciphertexts = encryptor.encrypt_batch(plaintexts, random.Random(4))
+        assert [decrypt(private, c) for c in ciphertexts] == plaintexts
+        assert len(set(ciphertexts)) == len(ciphertexts)
+
+    def test_exponent_bits_bounds(self, keypair128):
+        for bits in (63, 257):
+            with pytest.raises(ValueError, match="exponent_bits"):
+                FastEncryptor(keypair128.public, random.Random(5), exponent_bits=bits)
+
+    @pytest.mark.parametrize("bits", [64, 128, 256])
+    def test_seed_exponents_are_odd_and_fit(self, bits):
+        rng = random.Random(6)
+        for seed in [0, 1, (1 << 128) - 1] + [rng.getrandbits(128) for _ in range(20)]:
+            exponent = seed_exponent(seed, bits)
+            assert exponent & 1
+            assert exponent.bit_length() <= bits
+        assert seed_exponent(7, bits) == seed_exponent(7, bits)
+        assert seed_exponent(7, bits) != seed_exponent(8, bits)

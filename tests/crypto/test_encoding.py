@@ -1,10 +1,11 @@
 """Tests for the signed fixed-point codec and the packed-slot codec."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import FixedPointCodec, PackedCodec
+from repro.crypto import FixedPointCodec, PackedCodec, PublicKey
 
 
 class TestRoundTrip:
@@ -119,6 +120,104 @@ class TestPackedRoundTrip:
         values = [3.5, -3.5]
         ints = packed.unpack_integers(packed.pack(values), 2)
         assert ints == [round(3.5 * packed.scale), -round(3.5 * packed.scale)]
+
+
+#: A ~1023-bit plaintext space: room for several slots wider than 64 bits.
+WIDE_KEY = PublicKey(n=(1 << 1023) + 1155)
+
+
+def reference_pack(codec: PackedCodec, row) -> list[int]:
+    """The module docstring's slot layout, one Python integer at a time."""
+    fixed = [round(float(v) * codec.scale) for v in row]
+    for f, v in zip(fixed, row):
+        if abs(f) >= codec.bias:
+            raise ValueError(f"value {v} exceeds the slot capacity")
+    fixed += [0] * (codec.packed_length(len(fixed)) * codec.slots - len(fixed))
+    return [
+        sum(
+            (f + codec.bias) << (i * codec.slot_bits)
+            for i, f in enumerate(fixed[start : start + codec.slots])
+        )
+        for start in range(0, len(fixed), codec.slots)
+    ]
+
+
+class TestPackRows:
+    """``pack_rows`` packs a whole population at once; ``pack`` is its
+    one-row case.  Both must equal the plain integer layout for every slot
+    width, including slots and values wider than 63 bits."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        fractional_bits=st.integers(0, 40),
+        extra_bits=st.integers(1, 60),
+        accumulation_bits=st.integers(1, 70),
+        rows=st.integers(0, 4),
+        count=st.integers(0, 25),
+        data=st.data(),
+    )
+    def test_matches_reference_and_row_wise_pack(
+        self, fractional_bits, extra_bits, accumulation_bits, rows, count, data
+    ):
+        value_bits = fractional_bits + extra_bits
+        codec = PackedCodec(
+            WIDE_KEY, fractional_bits, value_bits, accumulation_bits
+        )
+        top = (1 << (value_bits - 1)) - 1
+        fixed = data.draw(
+            st.lists(st.integers(-top, top), min_size=rows * count,
+                     max_size=rows * count),
+            label="fixed",
+        )
+        matrix = (np.array(fixed, dtype=float) / codec.scale).reshape(rows, count)
+        packed = codec.pack_rows(matrix)
+        assert packed == [reference_pack(codec, row) for row in matrix]
+        assert packed == [codec.pack(row) for row in matrix]
+        if rows:
+            assert codec.pack(matrix) == packed
+
+    @pytest.mark.parametrize("value_bits", [24, 62, 63, 90])
+    def test_range_gate_boundary(self, value_bits):
+        codec = PackedCodec(WIDE_KEY, 0, value_bits, 4)
+        edge = float((1 << value_bits) - (1 << max(0, value_bits - 53)))
+        row = [edge, -edge]
+        assert codec.pack_rows([row]) == [reference_pack(codec, row)]
+        with pytest.raises(ValueError, match="slot capacity"):
+            codec.pack_rows([[0.0, float(1 << value_bits)]])
+        with pytest.raises(ValueError, match="slot capacity"):
+            codec.pack_rows([[-float(1 << value_bits)]])
+
+    @pytest.mark.parametrize("value_bits", [24, 80])
+    def test_same_range_error_as_row_wise_pack(self, value_bits):
+        codec = PackedCodec(WIDE_KEY, 16, value_bits, 12)
+        matrix = np.zeros((3, 5))
+        matrix[1, 3] = 2.0 ** (value_bits - 16)  # the first out-of-range value
+        matrix[2, 0] = -(2.0 ** (value_bits - 15))
+        with pytest.raises(ValueError, match="slot capacity") as whole:
+            codec.pack_rows(matrix)
+        with pytest.raises(ValueError, match="slot capacity") as one_row:
+            codec.pack(matrix[1])
+        assert str(whole.value) == str(one_row.value)
+
+    @pytest.mark.parametrize("block_slots", [1, 7, 1 << 20])
+    def test_row_blocks_do_not_change_the_result(self, monkeypatch, block_slots):
+        codec = PackedCodec(WIDE_KEY, 16, 24, 12)
+        matrix = np.arange(-60.0, 60.0, 0.5).reshape(20, 12)
+        expected = [reference_pack(codec, row) for row in matrix]
+        monkeypatch.setattr(PackedCodec, "_BLOCK_SLOTS", block_slots)
+        assert codec.pack_rows(matrix) == expected
+        matrix[13, 4] = 300.0  # the first bad value, in a later block
+        matrix[17, 0] = 400.0
+        with pytest.raises(ValueError, match="value 300.0 exceeds"):
+            codec.pack_rows(matrix)
+
+    def test_nan_is_out_of_range(self, packed):
+        with pytest.raises(ValueError, match="slot capacity"):
+            packed.pack_rows([[1.0, float("nan")]])
+
+    def test_rejects_other_shapes(self, packed):
+        with pytest.raises(ValueError, match="2-D"):
+            packed.pack_rows([1.0, 2.0])
 
 
 class TestPackedAccumulation:

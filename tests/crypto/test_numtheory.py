@@ -3,8 +3,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.numtheory import (
+    TABLE_BYTES_CAP,
     FixedBaseTable,
     crt_pair,
     fixture_safe_primes,
@@ -14,6 +17,8 @@ from repro.crypto.numtheory import (
     modinv,
     random_prime,
     random_safe_prime,
+    table_entries,
+    table_window_bits,
 )
 
 
@@ -108,6 +113,79 @@ class TestFixedBaseTable:
             FixedBaseTable(3, 1009, 0)
         with pytest.raises(ValueError):
             FixedBaseTable(3, 1009, 8, window_bits=0)
+
+
+class TestPowBatch:
+    """The batched table pass is the only evaluation loop: ``pow`` is its
+    one-item case, and both equal the built-in ``pow`` on every window
+    size (under ``REPRO_BIGINT_BACKEND=gmpy2`` the rows are ``mpz``)."""
+
+    MODULUS = fixture_safe_primes(128, count=1)[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        window_bits=st.integers(1, 16),
+        windows=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_matches_pow_and_builtin(self, window_bits, windows, data):
+        spare = data.draw(st.integers(0, window_bits - 1), label="spare")
+        bits = windows * window_bits - spare
+        base = data.draw(st.integers(2, self.MODULUS - 1), label="base")
+        table = FixedBaseTable(base, self.MODULUS, bits, window_bits)
+        top = (1 << bits) - 1
+        exponents = [0, 1, top] + data.draw(
+            st.lists(st.integers(0, top), max_size=6), label="exponents"
+        )
+        expected = [pow(base, e, self.MODULUS) for e in exponents]
+        assert table.pow_batch(exponents) == expected
+        assert [table.pow(e) for e in exponents] == expected
+
+    @pytest.mark.parametrize("window_bits", [1, 6, 16])
+    def test_too_large_exponent_raises(self, window_bits):
+        table = FixedBaseTable(5, 1009, 20, window_bits)
+        with pytest.raises(ValueError):
+            table.pow_batch([3, 1 << 20])
+        with pytest.raises(ValueError):
+            table.pow_batch([-1])
+
+    def test_empty_batch(self):
+        assert FixedBaseTable(5, 1009, 20).pow_batch([]) == []
+
+
+class TestTableWindow:
+    """``table_window_bits``: the run-sized window of the encryption table."""
+
+    USES = [0, 1, 10, 100, 1_000, 1_692, 10_000, 45_000, 10**5, 10**6, 10**8]
+
+    @pytest.mark.parametrize("modulus_bits", [512, 1024, 2048])
+    def test_no_uses_gives_the_smallest_window(self, modulus_bits):
+        assert table_window_bits(256, 1 << (modulus_bits - 1), 0) == 6
+
+    @pytest.mark.parametrize("modulus_bits", [512, 1024, 2048])
+    def test_never_shrinks_as_uses_grow(self, modulus_bits):
+        modulus = 1 << (modulus_bits - 1)
+        windows = [table_window_bits(256, modulus, uses) for uses in self.USES]
+        assert windows == sorted(windows)
+
+    @pytest.mark.parametrize("modulus_bits", [512, 1024, 2048])
+    def test_table_bytes_stay_under_the_cap(self, modulus_bits):
+        modulus = (1 << modulus_bits) - 1
+        for uses in self.USES:
+            window = table_window_bits(256, modulus, uses)
+            assert 6 <= window <= 16
+            assert table_entries(256, window) * modulus_bits // 8 <= TABLE_BYTES_CAP
+
+    @pytest.mark.parametrize(
+        "modulus_bits, uses, window",
+        [(512, 45_000, 10), (2048, 1_692, 8), (1024, 1_248, 8), (512, 10**8, 10)],
+    )
+    def test_sized_windows(self, modulus_bits, uses, window):
+        assert table_window_bits(256, (1 << modulus_bits) - 1, uses) == window
+
+    def test_rejects_negative_uses(self):
+        with pytest.raises(ValueError):
+            table_window_bits(256, 1 << 511, -1)
 
 
 class TestModularArithmetic:

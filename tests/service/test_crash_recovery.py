@@ -20,8 +20,10 @@ import time
 import pytest
 
 from _helpers import small_spec
-from repro.api import Experiment, run_record
+from repro.api import CheckpointSaved, Experiment, run_record
 from repro.service import JobState, JobStore, read_events
+from repro.service.bus import EventBus
+from repro.service.worker import execute_job
 
 N_JOBS = 8
 SERVE_TIMEOUT = 300.0
@@ -38,6 +40,38 @@ def spawn_server(root, *extra: str) -> subprocess.Popen:
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
+
+
+def saved_iteration(store: JobStore, job_id: str) -> int:
+    """The newest checkpoint on disk for a job (0 when it has none)."""
+    stems = [
+        path.stem.removeprefix("checkpoint_")
+        for path in store.checkpoint_dir(job_id).glob("checkpoint_*.json")
+    ]
+    return max((int(stem) for stem in stems if stem.isdigit()), default=0)
+
+
+def run_starts(store: JobStore, job_id: str) -> list[dict]:
+    return [
+        r for r in read_events(store.events_path(job_id))
+        if r["type"] == "run_started"
+    ]
+
+
+def assert_resumed_from_checkpoints(
+    store: JobStore, expected: dict[str, tuple[int, int]]
+) -> None:
+    """``expected`` maps a job to (its run_started count before the crash,
+    its newest checkpoint on disk at the crash): the first run after the
+    crash must resume at or after that checkpoint."""
+    for job_id, (starts_before, checkpoint) in expected.items():
+        restarts = run_starts(store, job_id)[starts_before:]
+        assert restarts, f"{job_id} never restarted after the kill"
+        resumed = restarts[0]["resumed_iteration"]
+        assert resumed >= checkpoint, (
+            f"{job_id} had checkpoint {checkpoint} on disk at the kill but "
+            f"restarted at iteration {resumed}"
+        )
 
 
 def test_sigkill_mid_iteration_then_restart_completes_bit_identical(tmp_path):
@@ -70,6 +104,15 @@ def test_sigkill_mid_iteration_then_restart_completes_bit_identical(tmp_path):
 
     interrupted = store.in_state(JobState.RUNNING)
     assert interrupted, "expected jobs to be mid-flight at the kill"
+    # Read from disk between the kill and the restart: every interrupted
+    # job with a checkpoint must resume from it.  (Jobs killed before
+    # their first checkpoint legitimately restart at 0; jobs that finished
+    # before the kill are not interrupted.)
+    must_resume = {
+        job.job_id: (len(run_starts(store, job.job_id)), checkpoint)
+        for job in interrupted
+        if (checkpoint := saved_iteration(store, job.job_id))
+    }
 
     # Restart: recovery re-enqueues the crash-marked jobs, workers resume
     # from their checkpoints, and the drain finishes the whole batch.
@@ -89,14 +132,52 @@ def test_sigkill_mid_iteration_then_restart_completes_bit_identical(tmp_path):
         assert record["result"] == expected, f"{job.job_id} diverged"
 
     # A checkpointed job killed mid-run must have *resumed*, not
-    # restarted: its post-kill run_started reports the checkpoint.  (Jobs
-    # killed before their first checkpoint legitimately restart at 0, so
-    # the assertion only applies when the pre-kill feed shows a save.)
-    resumed_markers = [
-        r
-        for job in resumed
-        for r in read_events(store.events_path(job.job_id))
-        if r["type"] == "run_started" and r["resumed_iteration"] > 0
-    ]
-    if any(r["type"] == "checkpoint_saved" for r in pre_kill_feed):
-        assert resumed_markers, "no job resumed from its checkpoint"
+    # restarted: its post-kill run_started reports the checkpoint.
+    assert_resumed_from_checkpoints(store, must_resume)
+
+
+class _Killed(BaseException):
+    """Stands in for SIGKILL: not an ``Exception``, so the worker's
+    failure handler does not catch it and the job stays ``running``."""
+
+
+@pytest.mark.parametrize("kill_after", [1, 3])
+def test_kill_at_a_chosen_checkpoint_then_resume_is_bit_identical(
+    tmp_path, monkeypatch, kill_after
+):
+    """The in-process twin of the SIGKILL test: the kill lands right after
+    checkpoint ``kill_after`` is published, whatever the scheduling."""
+    store = JobStore(tmp_path / "root")
+    spec = small_spec(5, max_iterations=4)
+    job = store.claim(store.submit(spec))
+    publish = EventBus.publish
+
+    def publish_then_die(bus, event):
+        record = publish(bus, event)
+        if isinstance(event, CheckpointSaved) and event.iteration == kill_after:
+            raise _Killed
+        return record
+
+    monkeypatch.setattr(EventBus, "publish", publish_then_die)
+    with pytest.raises(_Killed):
+        execute_job(store, job)
+    monkeypatch.setattr(EventBus, "publish", publish)
+
+    assert store.get(job.job_id).state == JobState.RUNNING
+    expected = {
+        job.job_id: (
+            len(run_starts(store, job.job_id)),
+            saved_iteration(store, job.job_id),
+        )
+    }
+    assert expected[job.job_id][1] == kill_after
+    (recovered,) = store.recover()
+    assert execute_job(store, store.claim(recovered)) == 0
+
+    assert_resumed_from_checkpoints(store, expected)
+    assert run_starts(store, job.job_id)[-1]["resumed_iteration"] == kill_after
+    record = store.load_result(job.job_id)
+    inline = Experiment.from_spec(spec).run()
+    assert record["result"] == json.loads(
+        json.dumps(run_record(spec, inline)["result"])
+    )
