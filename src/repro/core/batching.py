@@ -12,13 +12,14 @@ operations so the step can run over either representation:
   one ciphertext per ``slots`` values, plus one extra **tracker**
   ciphertext ``E(1)`` per participant.
 
-The tracker is what makes packed decoding exact: every element of an EESum
-vector accumulates contributions with the *same* public integer
-coefficients, so the decrypted tracker equals the coefficient total ``C``
-and the bias mass ``B·terms·C`` can be subtracted slot-wise (see the slot
-layout in :mod:`repro.crypto.encoding`).  Decoded outputs are therefore
-bit-identical to the scalar plane's — same signed fixed-point integers,
-same float divisions.
+The tracker makes packed decoding exact: every element of an EESum vector
+accumulates contributions with the *same* public integer coefficients, so
+the decrypted tracker equals the coefficient total ``C`` (``2^count``) and
+the bias mass ``B·terms·C`` is subtracted slot-wise (slot layout in
+:mod:`repro.crypto.encoding`), bit-identical to the scalar plane.  The
+vectorized-crypto step reads ``C`` off the public counter instead; this
+plane keeps the tracker because its ``crypto_rng`` also draws the min-id
+proposals, so dropping the tracker's seed draws would change its outputs.
 
 Both planes batch all bulk work through a :class:`repro.crypto.backend`
 backend (serial or process-pool).

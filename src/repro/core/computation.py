@@ -378,6 +378,10 @@ class VectorizedCryptoComputationStep:
     decryption of a decode sample, fused across the batch
     (:func:`~repro.crypto.threshold.combine_partial_decryptions_batch`).
 
+    **No tracker.**  Rows hold the payload stripes only: Alg. 2 keeps each
+    node's coefficient total at exactly ``C = 2^count``, so decoding (and
+    its slot-overflow gate) reads ``C`` from the public ``CipherEESum.count``.
+
     **Mock parity.**  The step consumes ``noise_rng`` and the engine's RNG
     in *exactly* the sequence :class:`VectorizedComputationStep` does, the
     clear ω/ctr side mirrors the mock's float operations, and the decoded
@@ -432,6 +436,16 @@ class VectorizedCryptoComputationStep:
         self.decode_sample = decode_sample
         self.crypto_seconds = 0.0
 
+    @staticmethod
+    def decode_row(
+        packed: PackedCodec, plaintexts: list[int], dims: int, count: int
+    ) -> np.ndarray:
+        """A node's decrypted payload (``σ·2^{count+f}``) as reals, before
+        the division by ω — the mock's floats in the dyadic regime."""
+        ints = packed.unpack_integers(plaintexts, dims, bias_multiplier=1 << count)
+        shift = 1 << (count + packed.fractional_bits)
+        return np.array([v / shift for v in ints], dtype=float)
+
     def run(
         self,
         engine: VectorizedGossipEngine,
@@ -470,11 +484,8 @@ class VectorizedCryptoComputationStep:
         body /= scale
         del shares
         packed = self.packed
-        width = packed.packed_length(dims) + 1  # payload stripes + tracker
-        flat_plaintexts: list[int] = []
-        for stripes in packed.pack(body):  # every node's row in one pass
-            flat_plaintexts.extend(stripes)
-            flat_plaintexts.append(1)  # tracker E(1): the coefficient total
+        width = packed.packed_length(dims)
+        flat_plaintexts = [p for stripes in packed.pack(body) for p in stripes]
         del body
         started = time.perf_counter()
         ciphertexts = self.backend.encrypt_batch(
@@ -525,29 +536,16 @@ class VectorizedCryptoComputationStep:
         decode_nodes = sample[: max(1, self.decode_sample)]
         context = self.keypair.context
         committee = self.keypair.shares[: context.threshold]
-        flat = [c for node in decode_nodes for c in eesum.row(node)]
+        # Last-cycle partners hold the same row; decryption is
+        # deterministic, so each distinct ciphertext is decrypted once.
+        unique = list(dict.fromkeys(c for n in decode_nodes for c in eesum.row(n)))
         started = time.perf_counter()
         partials = {
-            share.index: self.backend.partial_decrypt_batch(
-                context, share, flat
-            )
+            share.index: self.backend.partial_decrypt_batch(context, share, unique)
             for share in committee
         }
-        plaintexts = combine_partial_decryptions_batch(context, partials)
+        plain = dict(zip(unique, combine_partial_decryptions_batch(context, partials)))
         self.crypto_seconds += time.perf_counter() - started
-
-        decoded: dict[int, np.ndarray] = {}
-        for slot, node in enumerate(decode_nodes):
-            node_plain = plaintexts[slot * width : (slot + 1) * width]
-            tracker = node_plain[-1]  # C = 2^count, exact
-            ints = packed.unpack_integers(
-                node_plain[:-1], dims, bias_multiplier=tracker
-            )
-            # V = σ·2^{count+f} exactly; int/int true division is correctly
-            # rounded, so in the dyadic regime the floats are the mock's.
-            shift = 1 << (int(eesum.count[node]) + self.fractional_bits)
-            values = np.array([v / shift for v in ints], dtype=float)
-            decoded[int(node)] = values / eesum.omega[node]
 
         # --- decode (Alg. 3 l.10-11) ---------------------------------------
         # The correction walk covers the full mock-sized sample so the
@@ -555,7 +553,7 @@ class VectorizedCryptoComputationStep:
         # actually decrypted.
         corrections: dict[int, np.ndarray] = {}
         stride = plan.series_length + 1
-        for node in sample:
+        for index, node in enumerate(sample):
             final_id = int(dissemination.ids[node])
             correction = None
             if final_id != VectorizedMinId.NO_PROPOSAL:
@@ -566,9 +564,11 @@ class VectorizedCryptoComputationStep:
                         contributors, self.noise_rng
                     )
                 correction = corrections[final_id]
-            values = decoded.get(int(node))
-            if values is None:
+            if index >= len(decode_nodes):
                 continue
+            node_plain = [plain[c] for c in eesum.row(node)]
+            values = self.decode_row(packed, node_plain, dims, int(eesum.count[node]))
+            values = values / eesum.omega[node]
             if correction is not None:
                 values = values - correction
             grid = values.reshape(plan.k, stride)

@@ -219,9 +219,8 @@ class ChiaroscuroRun:
             self.codec = None
             self.plane = None
             self.participants = []
-            # One randomizer per payload stripe plus the tracker, per node
-            # and iteration.
-            per_node = self.packed.packed_length(dims) + 1
+            # One randomizer per payload stripe (no tracker), per node and iteration.
+            per_node = self.packed.packed_length(dims)
             with bigint.use_backend(self.bigint_backend):
                 self.encryptor = FastEncryptor(
                     keypair.public,

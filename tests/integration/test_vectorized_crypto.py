@@ -120,6 +120,66 @@ class TestTelemetry:
         assert all(e.crypto_ms is None for e in events)
 
 
+class TestOpCounts:
+    def test_one_iteration_encrypts_the_payload_only(self, monkeypatch):
+        """No tracker: an iteration encrypts population × packed_length(dims)
+        plaintexts, rows are that wide, the encryption table is sized for
+        exactly those draws, and the decode sample decrypts each distinct
+        ciphertext once."""
+        import repro.core.computation as computation
+        import repro.core.protocol as protocol
+        from repro.crypto.backend import SerialBackend
+
+        encrypted, decrypted, widths, expected_uses = [], [], [], []
+        real_encrypt = SerialBackend.encrypt_batch
+        real_partial = SerialBackend.partial_decrypt_batch
+        real_encryptor = protocol.FastEncryptor
+        real_eesum = computation.CipherEESum
+
+        def encrypt_batch(self, public, plaintexts, rng):
+            encrypted.append(len(plaintexts))
+            return real_encrypt(self, public, plaintexts, rng)
+
+        def partial_decrypt_batch(self, context, share, ciphertexts):
+            decrypted.append(list(ciphertexts))
+            return real_partial(self, context, share, ciphertexts)
+
+        def fast_encryptor(*args, **kwargs):
+            expected_uses.append(kwargs["expected_uses"])
+            return real_encryptor(*args, **kwargs)
+
+        def cipher_eesum(*args, **kwargs):
+            eesum = real_eesum(*args, **kwargs)
+            widths.append(eesum.array.width)
+            return eesum
+
+        monkeypatch.setattr(SerialBackend, "encrypt_batch", encrypt_batch)
+        monkeypatch.setattr(
+            SerialBackend, "partial_decrypt_batch", partial_decrypt_batch
+        )
+        monkeypatch.setattr(protocol, "FastEncryptor", fast_encryptor)
+        monkeypatch.setattr(computation, "CipherEESum", cipher_eesum)
+
+        spec = crypto_spec()
+        experiment = Experiment.from_spec(spec)
+        for event in experiment.run_iter():
+            if isinstance(event, IterationCompleted):
+                break
+        run = experiment.context.runtime
+        population = run.dataset.t
+        per_node = run.packed.packed_length(
+            spec.params.k * (run.dataset.n + 1)
+        )
+        assert per_node >= 2  # a multi-stripe row, as at the frontier
+        assert encrypted == [population * per_node]
+        assert widths == [per_node]
+        funded = spec.params.max_iterations  # UF3 funds all three
+        assert expected_uses == [population * per_node * funded]
+        assert decrypted and all(
+            len(set(batch)) == len(batch) for batch in decrypted
+        )
+
+
 class TestCheckpointResume:
     @pytest.mark.parametrize("kill_after", [1, 2])
     def test_kill_and_resume_bit_identical(self, tmp_path, kill_after):
